@@ -366,11 +366,13 @@ def corpus_diagnostics(dialect: str) -> str:
     """Canonical diagnostics dump for the dialect's example corpus.
 
     One block per translation unit in scan order; no timing, no cache
-    state — only what the analysis concluded, so the dump is stable
-    across machines and byte-comparable across refactors.
+    state — only what the analysis concluded, with paths relative to the
+    repository root, so the dump is stable across machines and checkout
+    paths and byte-comparable across refactors.
     """
     project = Project.from_directory(CORPORA[dialect], dialect=dialect)
     report = run_batch(project.to_requests(), jobs=1, cache=None)
+    root_prefix = f"{ROOT}{os.sep}"
     lines: list[str] = []
     for result in report.results:
         lines.append(f"== {Path(result.name).name}")
@@ -378,7 +380,7 @@ def corpus_diagnostics(dialect: str) -> str:
             lines.append(f"   engine failure: {result.failure}")
             continue
         for diag in result.diagnostics:
-            lines.append("   " + diag.render())
+            lines.append("   " + diag.render().replace(root_prefix, ""))
     return "\n".join(lines) + "\n"
 
 

@@ -16,7 +16,7 @@ Usage::
     mlffi-check serve src/glue --cache-dir .mlffi-cache
     mlffi-check serve src/glue --tcp 127.0.0.1:9178 --workers 8
     mlffi-check serve src/glue --tcp 0.0.0.0:9178 --reuse-port \\
-        --shared-store /var/cache/mlffi
+        --cache-dir /var/cache/mlffi
     mlffi-check watch src/glue --interval 1
     mlffi-check rules [--dialect rust] [--format json]
     mlffi-check conformance src/glue --dialect rust --format sarif
@@ -74,7 +74,6 @@ from .engine import (
     IncrementalEngine,
     NullCache,
     ResultCache,
-    SharedResultStore,
     render_unit,
     stream_batch,
 )
@@ -138,14 +137,6 @@ def _add_cache_flags(command: argparse.ArgumentParser) -> None:
         metavar="N",
         help="LRU cap on cache entries; 0 disables the cap "
         f"(default: {DEFAULT_MAX_ENTRIES})",
-    )
-    command.add_argument(
-        "--shared-store",
-        default=None,
-        metavar="DIR",
-        help="use a cross-process shared result store at DIR as the cold "
-        "tier instead of --cache-dir; safe for many daemon replicas and "
-        "batch runs to read and write concurrently",
     )
 
 
@@ -457,14 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--reuse-port",
         action="store_true",
         help="set SO_REUSEPORT so several daemon replicas can share one "
-        "port (pair with --shared-store for a fleet-wide warm cache)",
-    )
-    serve.add_argument(
-        "--threaded",
-        action="store_true",
-        help="use the legacy thread-per-connection TCP server instead "
-        "of the async daemon (no coalescing fan-out limit, no "
-        "backpressure)",
+        "port (pair with --cache-dir for a fleet-wide warm cache)",
     )
 
     watch = sub.add_parser(
@@ -591,8 +575,6 @@ def _make_cache(args: argparse.Namespace):
     if args.no_cache:
         return NullCache()
     max_entries = args.cache_max_entries if args.cache_max_entries > 0 else None
-    if getattr(args, "shared_store", None):
-        return SharedResultStore(args.shared_store, max_entries=max_entries)
     return ResultCache(args.cache_dir, max_entries=max_entries)
 
 
@@ -1074,7 +1056,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         AnalysisService,
         serve_async_tcp,
         serve_stdio,
-        serve_tcp,
     )
 
     engine = _build_engine(args)
@@ -1099,10 +1080,6 @@ def _run_serve(args: argparse.Namespace) -> int:
                 )
                 return 125
             try:
-                if args.threaded:
-                    return serve_tcp(
-                        service, host or "127.0.0.1", port, log=log
-                    )
                 return serve_async_tcp(
                     service,
                     host or "127.0.0.1",

@@ -8,7 +8,10 @@ Three tiers share one ``load``/``store`` protocol (see
   restarts.  Growth is bounded by an LRU entry cap (``max_entries``,
   default 10k): stores past the cap evict the least-recently-used files,
   and loads refresh recency.  Corrupt or stale entries are treated as
-  misses, never errors: the cache can always be deleted wholesale.
+  misses, never errors: the cache can always be deleted wholesale.  One
+  directory is safe for many processes (batch runs, daemon replicas) to
+  share: writes are ``mkstemp`` + ``os.replace``, so a reader sees old
+  bytes, new bytes or a miss, never a torn file.
 * :class:`MemoryCache` — the warm tier the persistent analysis service
   keeps in front of the cold one: an in-process LRU of JSON payloads.
   Entries round-trip through ``to_dict``/``from_dict`` so callers can
@@ -29,7 +32,7 @@ import os
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .jobs import CACHE_SCHEMA_VERSION, CheckResult
 
@@ -63,6 +66,17 @@ class ResultCache:
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
+
+    def _entries(self) -> Iterator[Path]:
+        """Every stored entry.  ``glob`` matches dotfiles, so skip the
+        in-flight ``.tmp-*.json`` spill of concurrent writers: counting
+        it inflates ``len()``, and evicting or clearing it mid-write
+        breaks the writer's ``os.replace``."""
+        return (
+            path
+            for path in self.directory.glob("*.json")
+            if not path.name.startswith(".")
+        )
 
     def load(self, key: str) -> Optional[CheckResult]:
         """Return the cached result for ``key``, or ``None`` on any miss."""
@@ -120,9 +134,7 @@ class ResultCache:
             return
         if self._approx_count is None:
             try:
-                self._approx_count = sum(
-                    1 for _ in self.directory.glob("*.json")
-                )
+                self._approx_count = sum(1 for _ in self._entries())
             except OSError:
                 return
         else:
@@ -130,10 +142,7 @@ class ResultCache:
         if self._approx_count <= self.max_entries:
             return
         try:
-            entries = [
-                (path.stat().st_mtime, path)
-                for path in self.directory.glob("*.json")
-            ]
+            entries = [(path.stat().st_mtime, path) for path in self._entries()]
         except OSError:
             return
         excess = len(entries) - self.max_entries
@@ -152,7 +161,7 @@ class ResultCache:
         removed = 0
         if not self.directory.is_dir():
             return removed
-        for path in self.directory.glob("*.json"):
+        for path in self._entries():
             try:
                 path.unlink()
                 removed += 1
@@ -164,7 +173,7 @@ class ResultCache:
     def __len__(self) -> int:
         if not self.directory.is_dir():
             return 0
-        return sum(1 for _ in self.directory.glob("*.json"))
+        return sum(1 for _ in self._entries())
 
     def stats(self) -> dict:
         """Uniform tier statistics (no directory scan: stays cheap)."""

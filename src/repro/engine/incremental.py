@@ -478,9 +478,9 @@ class IncrementalEngine:
         """Per-tier hit/miss breakdown plus totals, for ``status`` and
         the ``metrics`` exposition."""
         memory = self.memory.stats()
-        # the cold tier may be the per-process ResultCache or the
-        # cross-process SharedResultStore; either way its stats ride
-        # under the stable "disk" key, with the real tier named
+        # the cold tier is a ResultCache (one directory any number of
+        # processes may share), a NullCache, or a caller's own Cache;
+        # its stats ride under the stable "disk" key, with the tier named
         cold = (
             self.cold.stats()
             if hasattr(self.cold, "stats")

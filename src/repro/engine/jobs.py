@@ -35,9 +35,9 @@ from ..source import SourceFile
 #: cache eviction counts.
 #: v4: third dialect (jni) with new JNI_* kinds; ParseHints grew dialect
 #: qualifiers, changing how shared-suffix sources can parse.
-#: v5: the cross-process SharedResultStore joined the tier stack (its
-#: content-addressed layout must never replay pre-store entries) and
-#: results grew the "store" cache tier.
+#: v5: a sharded cross-process cold tier (since folded into the flat
+#: ResultCache layout) joined the tier stack and results grew a fifth
+#: cache tier name.
 #: v6: results carry the per-unit InterfaceSummary the whole-program
 #: linker consumes; pre-link entries would replay without one and the
 #: link pass would silently see an empty corpus.
@@ -137,9 +137,10 @@ class CheckResult:
     probe_seconds: float = 0.0
     cache_key: str = ""
     from_cache: bool = False
-    #: which tier satisfied a hit: "memory", "disk", "store" (the
-    #: cross-process shared store), "coalesced" (an intra-batch copy of
-    #: another request's fresh run), or "" for a fresh run
+    #: which tier satisfied a hit: "memory", "disk" (a ``--cache-dir``
+    #: that other processes may have filled), "coalesced" (an
+    #: intra-batch copy of another request's fresh run), or "" for a
+    #: fresh run
     cache_tier: str = ""
     #: set when the worker itself failed (parse crash, etc.); such results
     #: are reported but never cached

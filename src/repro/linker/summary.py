@@ -2,7 +2,7 @@
 
 A summary is the whole-program-relevant slice of one translation unit,
 small enough to serialize with its :class:`~repro.engine.jobs.CheckResult`
-so it flows through every cache tier (memory, disk, shared store) and the
+so it flows through every cache tier (memory, disk) and the
 incremental engine's resident payloads: only dirty units re-summarize,
 and the link pass re-runs over summaries, never sources.
 

@@ -1,11 +1,9 @@
-"""Asyncio TCP transport: the high-concurrency face of the daemon.
+"""Asyncio TCP transport: the daemon's one TCP server.
 
-The threading transport (:mod:`repro.server.daemon`) spends one OS
-thread per connection, which caps it at a few hundred mostly-idle
-clients.  This transport holds every connection on one event loop and
-spends threads only on actual analysis, so fleet traffic — hundreds of
-editors and CI bots banging on one daemon — costs what the *work*
-costs, not what the connection count costs:
+Every connection lives on one event loop, and threads are spent only on
+actual analysis, so fleet traffic — hundreds of editors and CI bots
+banging on one daemon — costs what the *work* costs, not what the
+connection count costs:
 
 * **fast path inline** — coalescer memo hits and ``shutdown`` are
   answered on the event loop itself: readline, digest, dict lookup, id
@@ -28,7 +26,7 @@ costs, not what the connection count costs:
   so a shed request never strands followers.
 * **fleet mode** — ``reuse_port=True`` sets ``SO_REUSEPORT`` so N
   daemon processes can bind one port and the kernel load-balances
-  connections across them; point them at one ``--shared-store`` and
+  connections across them; point them at one ``--cache-dir`` and
   they share a warm cache too.
 """
 

@@ -81,8 +81,9 @@ class LoadGauge:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        #: concurrent computation cap; ``None`` = unbounded (stdio and
-        #: threading transports, which carry their own natural limits)
+        #: concurrent computation cap; ``None`` = unbounded (the stdio
+        #: transport and in-process callers, which carry their own
+        #: natural limits)
         self.limit: Optional[int] = None
         self.workers = 0
         self.max_queue = 0
@@ -239,7 +240,8 @@ class AnalysisService:
             return protocol.encode_fragment(data)
 
     def check_line(self, request: protocol.Request) -> str:
-        """One coalesced ``check``: blocking form for sync transports."""
+        """One coalesced ``check``: blocking form for stdio and in-process
+        callers."""
         try:
             key = self.check_key(request.params)
         except protocol.ProtocolError as exc:

@@ -1,6 +1,12 @@
 """Cache keying and storage semantics for the batch engine."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from repro.core.exprs import Options
 from repro.engine import (
@@ -97,6 +103,7 @@ class TestResultCache:
         loaded = cache.load(result.cache_key)
         assert loaded is not None
         assert loaded.from_cache is True
+        assert loaded.cache_tier == "disk"
         assert loaded.tally() == result.tally()
         assert [d.render() for d in loaded.diagnostics] == [
             d.render() for d in result.diagnostics
@@ -136,6 +143,24 @@ class TestResultCache:
         assert len(cache) == 1
         assert cache.clear() == 1
         assert len(cache) == 0
+
+    def test_scan_ignores_in_flight_temp_files(self, tmp_path):
+        """A concurrent writer's ``.tmp-*.json`` spill is invisible to
+        counting, eviction and ``clear()``: unlinking it mid-write would
+        break the writer's ``os.replace``."""
+        cache = ResultCache(tmp_path, max_entries=2)
+        for index in range(2):
+            cache.store(f"{index:02}" + "a" * 62, CheckResult(name="u.c"))
+        temp = tmp_path / ".tmp-abc123.json"
+        temp.write_text("{mid-write spill}")
+        os.utime(temp, (0, 0))  # the oldest file: first in line to evict
+        assert len(cache) == 2
+        for index in range(2, 5):
+            cache.store(f"{index:02}" + "a" * 62, CheckResult(name="u.c"))
+        assert temp.exists()
+        assert len(cache) == 2
+        assert cache.clear() == 2
+        assert temp.exists()
 
     def test_null_cache_always_misses(self, clean_request):
         cache = NullCache()
@@ -258,3 +283,95 @@ class TestBatchCaching:
         assert rerun.cache_hits == 1 and rerun.cache_misses == 1
         assert rerun.results[0].from_cache is True
         assert rerun.results[1].from_cache is False
+
+
+CHILD_SCRIPT = """\
+import json, sys
+from repro.api import Project
+from repro.engine import ResultCache, run_batch
+
+root, cache_dir = sys.argv[1], sys.argv[2]
+project = Project.from_directory(root)
+report = run_batch(project.to_requests(), jobs=1, cache=ResultCache(cache_dir))
+print(json.dumps({
+    "hits": report.cache_hits,
+    "misses": report.cache_misses,
+    "tiers": sorted({r.cache_tier for r in report.results}),
+}))
+"""
+
+
+class TestSharedDirectory:
+    """One ``--cache-dir`` serves every process and session pointed at it."""
+
+    @pytest.fixture()
+    def tree(self, tmp_path):
+        root = tmp_path / "tree"
+        root.mkdir()
+        (root / "lib.ml").write_text(
+            'type t = A of int | B\nexternal get : t -> int = "ml_get"\n'
+        )
+        (root / "good.c").write_text(
+            "value ml_get(value x)\n"
+            "{\n"
+            "    if (Is_long(x)) return Val_int(0);\n"
+            "    return Field(x, 0);\n"
+            "}\n"
+        )
+        return root
+
+    def _run_child(self, tree, cache_dir):
+        repo_root = Path(__file__).resolve().parent.parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (
+            str(repo_root / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD_SCRIPT, str(tree), str(cache_dir)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_child_process_sees_parent_writes(self, tree, tmp_path):
+        from repro.api import Project
+
+        cache_dir = tmp_path / "cache"
+        project = Project.from_directory(tree)
+        cold = run_batch(
+            project.to_requests(), jobs=1, cache=ResultCache(cache_dir)
+        )
+        assert cold.cache_misses == 1
+
+        child = self._run_child(tree, cache_dir)
+        assert child == {"hits": 1, "misses": 0, "tiers": ["disk"]}
+
+    def test_parent_process_sees_child_writes(self, tree, tmp_path):
+        cache_dir = tmp_path / "cache"
+        child = self._run_child(tree, cache_dir)
+        assert child["misses"] == 1
+
+        from repro.api import Project
+
+        project = Project.from_directory(tree)
+        warm = run_batch(
+            project.to_requests(), jobs=1, cache=ResultCache(cache_dir)
+        )
+        assert warm.cache_hits == 1
+        assert warm.results[0].cache_tier == "disk"
+
+    def test_second_session_hits_the_first_sessions_writes(
+        self, tree, tmp_path
+    ):
+        from repro.api import Session
+
+        cache_dir = tmp_path / "cache"
+        with Session(tree, cache_dir=cache_dir) as warmup:
+            warmup.check()
+        # a brand-new session (fresh memory tier) hits the disk tier
+        with Session(tree, cache_dir=cache_dir) as session:
+            report = session.check()
+        assert [r.cache_tier for r in report.results] == ["disk"]

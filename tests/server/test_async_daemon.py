@@ -33,7 +33,7 @@ def tree(tmp_path):
 class Daemon:
     """serve_async_tcp on an ephemeral port, in a background thread."""
 
-    def __init__(self, root, *, workers=2, max_queue=4):
+    def __init__(self, root, *, port=0, workers=2, max_queue=4):
         self.service = AnalysisService(IncrementalEngine(root))
         ready = threading.Event()
         bound = []
@@ -41,7 +41,7 @@ class Daemon:
             target=serve_async_tcp,
             args=(self.service,),
             kwargs={
-                "port": 0,
+                "port": port,
                 "workers": workers,
                 "max_queue": max_queue,
                 "ready": ready,
@@ -120,6 +120,37 @@ class TestWire:
         assert response["result"] == {"ok": True}
         handle.thread.join(timeout=10)
         assert not handle.thread.is_alive()
+
+    def test_second_client_sees_the_warm_engine(self, daemon):
+        (first,) = daemon.call({"id": 1, "method": "check"})
+        assert first["result"]["tally"]["errors"] == 0
+        (second,) = daemon.call({"id": 2, "method": "check"})
+        assert second["result"]["incremental"]["reused"] == 1
+
+
+class TestRebind:
+    def test_restart_can_rebind_the_same_port_immediately(self, tree):
+        """A restarted daemon must reclaim its port while the old
+        connection lingers in TIME_WAIT, not crash with EADDRINUSE
+        (``asyncio.start_server`` sets ``SO_REUSEADDR`` on POSIX)."""
+        first = Daemon(tree)
+        host, port = first.address
+        with socket.create_connection(first.address, timeout=30) as conn:
+            handle = conn.makefile("rw", encoding="utf-8")
+            handle.write(json.dumps({"id": 1, "method": "shutdown"}) + "\n")
+            handle.flush()
+            assert json.loads(handle.readline())["result"] == {"ok": True}
+            # wait for the daemon to hang up first: the side that closes
+            # first holds TIME_WAIT, here on the daemon's own port
+            assert handle.readline() == ""
+        first.thread.join(timeout=10)
+        assert not first.thread.is_alive()
+
+        reborn = Daemon(tree, port=port)
+        try:
+            assert reborn.address == (host, port)
+        finally:
+            reborn.stop()
 
 
 class TestCoalescing:

@@ -76,6 +76,16 @@ def test_lint_job_includes_format_check(workflow):
     assert "ruff format --check" in runs
 
 
+def test_goldens_are_checked_from_a_second_checkout_path(workflow):
+    # goldens must not embed the checkout path: the test job re-runs the
+    # golden comparison from a copy of the tree somewhere else
+    runs = " ".join(
+        step.get("run", "") for step in workflow["jobs"]["test"]["steps"]
+    )
+    assert '"$RUNNER_TEMP/elsewhere"' in runs
+    assert "pytest tests/bench/test_cold.py -k goldens" in runs
+
+
 def test_bench_smoke_runs_engine_benchmark_and_uploads_artifact(workflow):
     steps = workflow["jobs"]["bench-smoke"]["steps"]
     runs = " ".join(step.get("run", "") for step in steps)

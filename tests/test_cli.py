@@ -286,6 +286,7 @@ class TestBatch:
         assert code == 1  # cached diagnostics keep their exit semantics
         payload = json.loads(capsys.readouterr().out)
         assert payload["cache"] == {"hits": 2, "misses": 0, "evictions": 0, "coalesced": 0}
+        assert {u["cache_tier"] for u in payload["units"]} == {"disk"}
 
     def test_no_cache_flag(self, glue_tree, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
